@@ -16,9 +16,12 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "common/cycles.h"
+#include "conc/cacheline.h"
 #include "conc/mpmc_queue.h"
 #include "conc/spsc_ring.h"
 #include "coro/coroutine.h"
@@ -412,11 +415,12 @@ BENCHMARK(BM_PreemptGuard);
 void
 BM_TelemetryCounterInc(benchmark::State &state)
 {
-    // One relaxed fetch_add on a cache-line-padded per-worker counter:
+    // One single-writer increment (relaxed load + relaxed store, no
+    // locked instruction) on a cache-line-padded per-worker counter:
     // what a recording site pays besides the branch on telem != nullptr.
     telemetry::WorkerCounters counters;
     for (auto _ : state)
-        counters.quanta.fetch_add(1, std::memory_order_relaxed);
+        single_writer_add(counters.quanta, 1);
     benchmark::DoNotOptimize(
         counters.quanta.load(std::memory_order_relaxed));
     state.SetItemsProcessed(state.iterations());
@@ -424,9 +428,69 @@ BM_TelemetryCounterInc(benchmark::State &state)
 BENCHMARK(BM_TelemetryCounterInc);
 
 void
+BM_TelemetryCounterIncLocked(benchmark::State &state)
+{
+    // The same increment as a relaxed fetch_add, for comparison: a
+    // locked RMW, the form the single-writer counters no longer use.
+    // Uncontended it costs a few ns more; its real price is draining
+    // the store buffer, which this loop (no cross-core stores) hides —
+    // see BM_CacheLinePingPong.
+    telemetry::WorkerCounters counters;
+    for (auto _ : state)
+        counters.quanta.fetch_add(1, std::memory_order_relaxed);
+    benchmark::DoNotOptimize(
+        counters.quanta.load(std::memory_order_relaxed));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TelemetryCounterIncLocked);
+
+void
+BM_CacheLinePingPong(benchmark::State &state)
+{
+    // Core-to-core cache-line transfer: this thread and a partner take
+    // turns advancing one padded counter (the partner moves odd values
+    // to even, this thread even to odd). One iteration is one round
+    // trip, i.e. two line transfers — what a locked RMW makes its
+    // issuer wait for when a line it just stored is being read on
+    // another core (docs/cache_line_analysis.md). Waiters yield after
+    // a bounded spin so a single-CPU host still makes progress.
+    PaddedAtomic<uint64_t> turn;
+    std::atomic<bool> stop{false};
+    const auto wait_for = [&](uint64_t value) {
+        for (int spins = 0;
+             turn.value.load(std::memory_order_acquire) != value;) {
+            if (stop.load(std::memory_order_relaxed))
+                return false;
+            if (++spins < 4096) {
+                cpu_relax();
+            } else {
+                spins = 0;
+                std::this_thread::yield();
+            }
+        }
+        return true;
+    };
+    std::thread partner([&] {
+        for (uint64_t next = 1; wait_for(next); next += 2)
+            turn.value.store(next + 1, std::memory_order_release);
+    });
+    uint64_t mine = 0;
+    for (auto _ : state) {
+        turn.value.store(mine + 1, std::memory_order_release);
+        wait_for(mine + 2);
+        mine += 2;
+    }
+    stop.store(true, std::memory_order_relaxed);
+    partner.join();
+    benchmark::DoNotOptimize(mine);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheLinePingPong)->UseRealTime();
+
+void
 BM_TelemetryHistogramAdd(benchmark::State &state)
 {
-    // Bucket index (clz) + three relaxed fetch_adds.
+    // Bucket index (clz) + three single-writer increments.
     telemetry::CycleHistogram hist;
     uint64_t v = 1;
     for (auto _ : state) {

@@ -8,11 +8,12 @@
  * shared variables from false-sharing.
  *
  * Layout discipline (docs/cache_line_analysis.md): every cross-thread
- * line has exactly one writing thread, padding is explicit and stated,
- * and each packed struct carries a static_assert on its size and
- * alignment so a field addition fails the build instead of silently
- * false-sharing. tests/layout_test.cc exercises the same invariants at
- * runtime with real objects.
+ * line has exactly one writing thread, which updates it with plain
+ * stores (single_writer_add), never locked RMWs; padding is explicit
+ * and stated, and each packed struct carries a static_assert on its
+ * size and alignment so a field addition fails the build instead of
+ * silently false-sharing. tests/layout_test.cc exercises the same
+ * invariants at runtime with real objects.
  */
 #ifndef TQ_CONC_CACHELINE_H
 #define TQ_CONC_CACHELINE_H
@@ -20,6 +21,7 @@
 #include <atomic>
 #include <cstddef>
 #include <new>
+#include <type_traits>
 
 namespace tq {
 
@@ -98,6 +100,39 @@ static_assert(sizeof(PaddedAtomic<size_t>) == kCacheLineSize &&
               "a padded cursor must own exactly one line");
 static_assert(sizeof(CacheAligned<char[kCacheLineSize]>) == kCacheLineSize,
               "an exactly line-sized payload must not grow a second line");
+
+/**
+ * Add @p delta to a counter that has exactly one writing thread.
+ *
+ * A relaxed load plus a relaxed store: the same modular (wrapping)
+ * result as `fetch_add(delta, relaxed)`, and readers still see each
+ * value whole, but no locked instruction. A locked RMW drains the
+ * store buffer, so every one on the hot path also waits out the
+ * cross-core transfer of whatever the thread stored just before (a
+ * ring slot, a ring index) — hundreds of nanoseconds on a virtualized
+ * host (docs/cache_line_analysis.md). A second writer would lose
+ * updates, so use this only where the layout contract names one
+ * writer; multi-writer and cold-path counters keep fetch_add.
+ */
+template <typename T>
+inline void
+single_writer_add(std::atomic<T> &counter, std::type_identity_t<T> delta)
+{
+    counter.store(static_cast<T>(counter.load(std::memory_order_relaxed) +
+                                 delta),
+                  std::memory_order_relaxed);
+}
+
+/** Subtract @p delta from a single-writer counter; see
+ *  single_writer_add(). */
+template <typename T>
+inline void
+single_writer_sub(std::atomic<T> &counter, std::type_identity_t<T> delta)
+{
+    counter.store(static_cast<T>(counter.load(std::memory_order_relaxed) -
+                                 delta),
+                  std::memory_order_relaxed);
+}
 
 /** Pause hint for spin loops (PAUSE on x86, plain nop elsewhere). */
 inline void

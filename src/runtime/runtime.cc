@@ -557,18 +557,21 @@ Runtime::dispatch_batch(DispatcherShard &sh, Request *reqs, size_t n)
             if (!push_request(sh, target, req))
                 continue; // dropped (counted); the outer loop
                           // re-checks the phase per batch
-            assigned_[static_cast<size_t>(target)].fetch_add(
-                1, std::memory_order_relaxed);
-            sh.counters.dispatched_total.fetch_add(
-                1, std::memory_order_relaxed);
+            // This shard is the only writer of its counters and of
+            // its span's assigned_ slots (spans are disjoint, and a
+            // thief dispatches into its own span), so plain stores
+            // replace locked RMWs (conc/cacheline.h).
+            single_writer_add(assigned_[static_cast<size_t>(target)], 1);
+            single_writer_add(sh.counters.dispatched_total, 1);
             ++pushed;
 #if defined(TQ_TELEMETRY_ENABLED)
             telemetry::DispatcherTelemetry &dt =
                 metrics_->dispatcher(sh.index);
-            dt.dispatched.fetch_add(1, std::memory_order_relaxed);
+            single_writer_add(dt.dispatched, 1);
             dt.dispatch_cycles.add(dispatched_at - req.arrival_cycles);
-            dt.trace.record(telemetry::EventKind::JobDispatched, req.id,
-                            static_cast<uint32_t>(target));
+            dt.trace.record_at(dispatched_at,
+                               telemetry::EventKind::JobDispatched, req.id,
+                               static_cast<uint32_t>(target));
 #endif
         }
     }

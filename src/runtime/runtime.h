@@ -76,7 +76,8 @@ namespace tq::runtime {
  */
 struct alignas(kCacheLineSize) DispatcherCounters
 {
-    /** Requests forwarded to workers (per-job increment). */
+    /** Requests forwarded to workers (per-job increment; plain stores
+     *  by the owning dispatcher, single_writer_add). */
     std::atomic<uint64_t> dispatched_total{0};
 
     /** Worker-ring-full spin iterations (backpressure gauge). */
@@ -376,7 +377,8 @@ class Runtime
     /** Per-worker assigned counts. Writer: the owning shard's
      *  dispatcher; readers: queue_lengths() callers (relaxed — the JSQ
      *  view is approximate by design, paper section 4). Workers are
-     *  owned by exactly one shard, so each slot has one writer. */
+     *  owned by exactly one shard, so each slot has one writer and is
+     *  bumped with plain stores (single_writer_add). */
     std::unique_ptr<std::atomic<uint64_t>[]> assigned_;
 
     /** External readers' wrap state, guarded by stats_mu_. */

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/cycles.h"
+#include "conc/cacheline.h"
 #include "fault/fault.h"
 #include "probe/probe.h"
 
@@ -100,10 +101,8 @@ Worker::poll_admissions()
             } else {
                 busy_.push_back(task);
             }
-            busy_count_.fetch_add(1, std::memory_order_relaxed);
 #if defined(TQ_TELEMETRY_ENABLED)
-            telem_->counters.admitted.fetch_add(1,
-                                               std::memory_order_relaxed);
+            single_writer_add(telem_->counters.admitted, 1);
 #endif
         }
         if (got < want)
@@ -133,8 +132,8 @@ Worker::select_task()
         if (starved >= 0) {
             Task *task = extract_promoted(starved);
             if (task != nullptr) {
-                starvation_promotions_.fetch_add(
-                    1, std::memory_order_relaxed);
+                // cold: fires at most once per promote_after grants
+                starvation_promotions_.fetch_add(1, std::memory_order_relaxed);
                 return task;
             }
         }
@@ -205,50 +204,50 @@ Worker::run_one_slice()
         budget = effective_budget(
             task->budget_cycles,
             class_sched_[static_cast<size_t>(task->cls)].deficit);
+    // One cycle-counter read per slice boundary. The start stamp feeds
+    // the armed deadline, the queue-stage sample and the QuantumStart
+    // event; the end stamp feeds the slice length (telemetry and
+    // deficit settlement), the response's done_cycles and the
+    // JobFinished event.
+    const Cycles slice_start = rdcycles();
 #if defined(TQ_TELEMETRY_ENABLED)
     bind_telemetry(telem_, task->req.id);
-    const Cycles slice_start = rdcycles();
+#endif
+    if (cfg_.work == WorkPolicy::Fcfs)
+        disarm_quantum(); // FCFS: probes never fire
+    else
+        arm_quantum_at(slice_start, budget);
+    task->coro->resume();
+    disarm_quantum();
+    // Only a preempted slice on the fixed path of a telemetry-off build
+    // has no use for the end stamp; skip the read there.
+    const bool stamp_end =
+        telemetry::kEnabled || per_class_ || task->job_done;
+    const Cycles slice_end = stamp_end ? rdcycles() : slice_start;
+    const Cycles slice = slice_end - slice_start;
+#if defined(TQ_TELEMETRY_ENABLED)
+    // The slice-start records are written now, not before the resume:
+    // the deadline counts from slice_start, so recording work there
+    // would eat into the armed budget. The stamp keeps them exact, and
+    // drain_trace() orders events by stamp, not by ring position.
     if (!task->started) {
         task->started = true;
         // Queueing stage: dispatcher handoff -> first quantum start.
         telem_->queue_cycles.add(slice_start - task->req.dispatch_cycles);
     }
-    telem_->counters.quanta.fetch_add(1, std::memory_order_relaxed);
-    telem_->trace.record(telemetry::EventKind::QuantumStart, task->req.id,
-                         task->quanta);
+    single_writer_add(telem_->counters.quanta, 1);
+    telem_->trace.record_at(slice_start, telemetry::EventKind::QuantumStart,
+                            task->req.id, task->quanta);
     if (per_class_) {
-        telem_->class_grants[task->cls].fetch_add(
-            1, std::memory_order_relaxed);
-        telem_->class_granted_cycles[task->cls].fetch_add(
-            budget, std::memory_order_relaxed);
+        single_writer_add(telem_->class_grants[task->cls], 1);
+        single_writer_add(telem_->class_granted_cycles[task->cls], budget);
     }
-#else
-    // Deficit accounting is scheduler state, not telemetry: it needs
-    // the slice duration in every build, but only in per-class mode —
-    // the fixed path stays free of extra rdcycles() reads.
-    Cycles slice_start = 0;
-    if (per_class_)
-        slice_start = rdcycles();
-#endif
-    if (cfg_.work == WorkPolicy::Fcfs)
-        disarm_quantum(); // FCFS: probes never fire
-    else
-        arm_quantum(budget);
-    task->coro->resume();
-    disarm_quantum();
-#if defined(TQ_TELEMETRY_ENABLED)
-    const Cycles slice_end = rdcycles();
-    const Cycles slice = slice_end - slice_start;
     task->service_cycles += slice;
     if (!task->job_done && cfg_.work != WorkPolicy::Fcfs) {
         // Preemption overhead: how far the slice ran past the armed
         // deadline before a probe fired and the switch-out completed.
         telem_->preempt_cycles.add(slice > budget ? slice - budget : 0);
     }
-#else
-    Cycles slice = 0;
-    if (per_class_)
-        slice = rdcycles() - slice_start;
 #endif
     if (per_class_) {
         // Deficit settlement: bank granted-minus-used. A class that
@@ -279,13 +278,13 @@ Worker::run_one_slice()
     }
 
     if (task->job_done) {
-        complete(task);
+        complete(task, slice_end);
     } else {
         // Preempted: account the serviced quantum and requeue — tail of
         // the PS ring, or heap reinsert with the bumped quanta for LAS.
         ++task->quanta;
-        stats_.current_quanta.fetch_add(1, std::memory_order_relaxed);
-        stats_.total_quanta.fetch_add(1, std::memory_order_relaxed);
+        single_writer_add(stats_.current_quanta, 1);
+        single_writer_add(stats_.total_quanta, 1);
         if (cfg_.work == WorkPolicy::Las) {
             las_heap_.push_back(task);
             std::push_heap(las_heap_.begin(), las_heap_.end(), LasAfter{});
@@ -307,10 +306,12 @@ Worker::push_response(const Response &resp)
     size_t spins = 0;
     while (!tx_ring_.push(resp)) {
         if (lc_->force_stop() || (limit != 0 && spins >= limit)) {
+            // cold: overflow drop
             dropped_responses_.fetch_add(1, std::memory_order_relaxed);
             return false;
         }
         ++spins;
+        // cold: TX ring full
         tx_full_spins_.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::yield();
     }
@@ -318,13 +319,13 @@ Worker::push_response(const Response &resp)
 }
 
 void
-Worker::complete(Task *task)
+Worker::complete(Task *task, Cycles done_at)
 {
     Response resp;
     resp.id = task->req.id;
     resp.gen_cycles = task->req.gen_cycles;
     resp.arrival_cycles = task->req.arrival_cycles;
-    resp.done_cycles = rdcycles();
+    resp.done_cycles = done_at;
     resp.job_class = task->req.job_class;
     resp.worker = id_;
     resp.result = task->result;
@@ -334,27 +335,26 @@ Worker::complete(Task *task)
 
     // Publish to the dispatcher's cache line even when the response was
     // dropped: the job *did* finish, and the JSQ view must not leak
-    // queue length.
-    stats_.finished.fetch_add(1, std::memory_order_relaxed);
-    stats_.current_quanta.fetch_sub(task->quanta,
-                                    std::memory_order_relaxed);
+    // queue length. The worker is the line's only writer, so plain
+    // stores suffice (conc/cacheline.h single_writer_add).
+    single_writer_add(stats_.finished, 1);
+    single_writer_sub(stats_.current_quanta, task->quanta);
     if (per_class_)
         --class_sched_[static_cast<size_t>(task->cls)].runnable;
 #if defined(TQ_TELEMETRY_ENABLED)
-    telem_->counters.finished.fetch_add(1, std::memory_order_relaxed);
+    single_writer_add(telem_->counters.finished, 1);
     telem_->service_cycles.add(task->service_cycles);
-    telem_->trace.record(telemetry::EventKind::JobFinished, task->req.id);
+    telem_->trace.record_at(done_at, telemetry::EventKind::JobFinished,
+                            task->req.id);
     if (per_class_) {
         // Per-class controller feed (DESIGN.md §4i): attained service
         // and sojourn keyed by the quantum-table slot.
-        telem_->class_finished[task->cls].fetch_add(
-            1, std::memory_order_relaxed);
+        single_writer_add(telem_->class_finished[task->cls], 1);
         telem_->class_service[task->cls].add(task->service_cycles);
-        telem_->class_sojourn[task->cls].add(resp.done_cycles -
+        telem_->class_sojourn[task->cls].add(done_at -
                                              task->req.arrival_cycles);
     }
 #endif
-    busy_count_.fetch_sub(1, std::memory_order_relaxed);
     idle_.push_back(task);
 }
 
@@ -364,9 +364,8 @@ Worker::abandon_remaining()
     // Clear the run queue so a second sweep only sees what arrived
     // since — the tasks' coroutines are suspended mid-job and are never
     // resumed again; tasks_ still owns them for destruction.
-    const size_t queued = busy_.size() + las_heap_.size();
-    uint64_t abandoned = static_cast<uint64_t>(queued);
-    busy_count_.fetch_sub(queued, std::memory_order_relaxed);
+    uint64_t abandoned =
+        static_cast<uint64_t>(busy_.size() + las_heap_.size());
     if (per_class_) {
         for (const Task *t : busy_)
             --class_sched_[static_cast<size_t>(t->cls)].runnable;
@@ -377,7 +376,9 @@ Worker::abandon_remaining()
     las_heap_.clear();
     while (dispatch_ring_.pop())
         ++abandoned;
-    if (abandoned != 0)
+    // The worker's own final sweep and the runtime's post-join sweep
+    // from the drain()/stop() caller both land here.
+    if (abandoned != 0) // multi-writer: worker exit + post-join sweep
         abandoned_jobs_.fetch_add(abandoned, std::memory_order_relaxed);
 }
 

@@ -17,6 +17,12 @@
  * min-heap keyed on (quanta, admit_seq), FIFO among equal-quanta tasks
  * — the same order the previous O(n) scan produced.
  *
+ * Every counter the worker publishes per job (its stats line, its
+ * telemetry slot) has the worker as its only writer, so the hot path
+ * updates them with plain relaxed stores (single_writer_add) and reads
+ * the cycle counter once per slice boundary; locked RMWs stay on the
+ * cold overflow and shutdown paths.
+ *
  * The loop is lifecycle-aware (runtime/lifecycle.h): in Draining it
  * finishes admitted jobs and exits once the dispatcher is done and the
  * dispatch ring is empty; in Stopping it abandons what is left. The TX
@@ -77,13 +83,6 @@ class Worker
 
     /** The shared statistics cache line (paper section 4). */
     WorkerStatsLine &stats_line() { return stats_; }
-
-    /** Jobs admitted but not finished (readable from any thread). */
-    size_t
-    active_jobs() const
-    {
-        return busy_count_.load(std::memory_order_relaxed);
-    }
 
     /** TX-ring-full spin iterations (backpressure pressure gauge). */
     uint64_t
@@ -207,7 +206,9 @@ class Worker
 
     void poll_admissions();
     void run_one_slice();
-    void complete(Task *task);
+    /** Publish @p task's response, stamped @p done_at (the slice-end
+     *  stamp), and recycle its slot. */
+    void complete(Task *task, Cycles done_at);
     bool push_response(const Response &resp);
 
     /** Pop the next task per policy, or the most-starved class's best
@@ -266,7 +267,6 @@ class Worker
      *  of busy_ / las_heap_ is populated, per cfg_.work. */
     std::vector<Task *> las_heap_;
     uint64_t admit_seq_next_ = 0;
-    std::atomic<size_t> busy_count_{0};
 
     // Backpressure / shutdown accounting. Always recorded (unlike the
     // TQ_TELEMETRY counters): every touch is on the cold overflow or

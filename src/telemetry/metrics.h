@@ -5,7 +5,9 @@
  *
  * Layout follows the dispatcher/worker counter contract of the paper
  * (section 4): every writer owns its own cache line, readers only load,
- * and nothing on the hot path takes a lock or issues an ordered RMW.
+ * and nothing on the hot path takes a lock or issues a locked RMW —
+ * the owning thread updates its counters with plain relaxed stores
+ * (single_writer_add in conc/cacheline.h).
  * Snapshots are therefore safe *while the runtime is running*: they are
  * per-counter linearizable (each value is a single relaxed load) but not
  * a cross-counter atomic cut — totals observed across counters may be
@@ -40,11 +42,13 @@ inline constexpr int kMaxTrackedClasses = 8;
 /**
  * Lock-free log2-bucketed histogram of cycle counts.
  *
- * add() is wait-free (three relaxed fetch_adds on writer-owned lines in
- * the common case of one writer per instance); any thread may snapshot
- * concurrently. Bucket i counts values in [2^i, 2^(i+1)), with values 0
- * and 1 sharing bucket 0 and values >= 2^(kBuckets-1) clamped into the
- * last bucket.
+ * Single writer per instance: add() is three plain relaxed
+ * load-and-store updates (single_writer_add), with no locked
+ * instruction, so two threads adding to one histogram would lose
+ * samples. Every instance in the registry has one owning thread; any
+ * thread may snapshot concurrently. Bucket i counts values in
+ * [2^i, 2^(i+1)), with values 0 and 1 sharing bucket 0 and values
+ * >= 2^(kBuckets-1) clamped into the last bucket.
  */
 class CycleHistogram
 {
@@ -57,13 +61,13 @@ class CycleHistogram
      *  writer (docs/cache_line_analysis.md). */
     static constexpr int kBuckets = 40;
 
-    /** Record one cycle-valued sample. Wait-free. */
+    /** Record one cycle-valued sample. Wait-free; owning thread only. */
     void
     add(Cycles value)
     {
-        buckets_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
-        sum_.fetch_add(value, std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
+        single_writer_add(buckets_[bucket_of(value)], 1);
+        single_writer_add(sum_, value);
+        single_writer_add(count_, 1);
     }
 
     /** Bucket index a value lands in (exposed for tests). */
@@ -199,7 +203,9 @@ class DispatcherTelemetry
     TraceRing trace;                ///< JobDispatched events
 };
 
-/** Client-side (load generator) telemetry. */
+/** Client-side (load generator) telemetry. The histograms are written
+ *  by the one load-generator thread driving the runtime; the totals
+ *  are folded in once per run with fetch_add. */
 class ClientTelemetry
 {
   public:

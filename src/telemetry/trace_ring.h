@@ -3,14 +3,16 @@
  * Per-thread fixed-size trace ring.
  *
  * A thin wrapper over the runtime's lock-free SPSC ring that (a) stamps
- * each event with RDTSC and the owning thread id at the recording site
- * and (b) *drops* events instead of blocking when the ring is full — a
- * telemetry buffer must never introduce backpressure into a
- * microsecond-scale scheduler. Drops are counted so a post-run drain can
- * report exactly how much of the window is missing.
+ * each event with RDTSC (or a stamp the recording site already read)
+ * and the owning thread id and (b) *drops* events instead of blocking
+ * when the ring is full — a telemetry buffer must never introduce
+ * backpressure into a microsecond-scale scheduler. Drops are counted so
+ * a post-run drain can report exactly how much of the window is
+ * missing.
  *
- * Concurrency contract: record() may be called by exactly one producer
- * thread (the worker or dispatcher that owns the ring); drain() and
+ * Concurrency contract: record() and record_at() may be called by
+ * exactly one producer thread (the worker or dispatcher that owns the
+ * ring), which is also the only writer of the drop counter; drain() and
  * dropped() may be called by one consumer thread, concurrently with the
  * producer.
  */
@@ -47,14 +49,26 @@ class TraceRing
     void
     record(EventKind kind, uint64_t job, uint32_t arg = 0)
     {
+        record_at(rdcycles(), kind, job, arg);
+    }
+
+    /**
+     * Record one event stamped with @p tsc, a cycle-counter value the
+     * caller already read for its own use (a slice boundary, a handoff
+     * stamp): one counter read serves the event and the caller.
+     * Producer-side only; same overflow behaviour as record().
+     */
+    void
+    record_at(Cycles tsc, EventKind kind, uint64_t job, uint32_t arg = 0)
+    {
         TraceEvent ev;
-        ev.tsc = rdcycles();
+        ev.tsc = tsc;
         ev.job = job;
         ev.arg = arg;
         ev.kind = kind;
         ev.tid = tid_;
         if (!ring_.push(ev))
-            dropped_.fetch_add(1, std::memory_order_relaxed);
+            single_writer_add(dropped_, 1);
     }
 
     /**
@@ -88,11 +102,11 @@ class TraceRing
   private:
     friend struct ::tq::LayoutAudit;
 
-    // tid_ (constant) and dropped_ (producer-written on the cold
-    // overflow path, consumer-read) share the leading line; the ring_
-    // member is line-aligned (its index sides are), so placing the two
-    // small fields *before* it packs them into the alignment gap
-    // instead of growing the object by a line after it.
+    // tid_ (constant) and dropped_ (producer-written on the overflow
+    // path, consumer-read) share the leading line; the ring_ member is
+    // line-aligned (its index sides are), so placing the two small
+    // fields *before* it packs them into the alignment gap instead of
+    // growing the object by a line after it.
     uint8_t tid_;
     std::atomic<uint64_t> dropped_{0};
     SpscRing<TraceEvent> ring_;

@@ -191,18 +191,35 @@ TEST(Runtime, LasIsFifoAmongEqualQuanta)
     // blocker admitted first accumulates quanta; the shorts all stay at
     // zero and finish within one quantum, so their completion order is
     // their admission (= submission) order.
+    //
+    // Per-class quanta tie "within one quantum" to the scheduler, not
+    // to wall time: the blocker (class 1) is preempted every 200 us,
+    // the shorts (class 0) get a 1 s quantum. With one 200 us quantum
+    // for all, a host that deschedules the worker for 150 us mid-short
+    // preempts that short, which then rightly runs after its
+    // zero-quanta peers. Queueing everything before start() puts all
+    // nine jobs in the dispatcher's first batch, so every short is
+    // admitted long before the 20 ms blocker can finish.
     RuntimeConfig cfg;
     cfg.num_workers = 1;
     cfg.quantum_us = 200.0;
+    cfg.class_quantum_us = {1e6, 200.0};
     cfg.work = WorkPolicy::Las;
     Runtime rt(cfg, spin_handler());
-    rt.start();
     std::vector<Request> reqs;
-    reqs.push_back(make_spin_request(999, 5e6, 1)); // 5ms blocker first
+    reqs.push_back(make_spin_request(999, 20e6, 1)); // 20ms blocker first
     constexpr uint64_t kShorts = 8;
     for (uint64_t i = 0; i < kShorts; ++i)
         reqs.push_back(make_spin_request(i, 50e3, 0)); // 50us each
-    const auto responses = run_requests(rt, reqs, 120.0);
+    for (const auto &r : reqs)
+        ASSERT_TRUE(rt.submit(r));
+    rt.start();
+    std::vector<Response> responses;
+    const Cycles deadline = rdcycles() + ns_to_cycles(120e9);
+    while (responses.size() < reqs.size() && rdcycles() < deadline) {
+        rt.drain_responses(responses);
+        std::this_thread::yield();
+    }
     ASSERT_EQ(responses.size(), reqs.size());
     std::map<uint64_t, Cycles> done;
     for (const auto &r : responses)
@@ -467,7 +484,9 @@ TEST(Lifecycle, BatchedDispatchAccountsForEveryAcceptedJob)
     // The dispatcher now consumes RX in pop_n batches; a drain must
     // still account for every accepted request exactly once:
     // delivered + dropped + abandoned == accepted. Small rings and a
-    // finite push budget make all three outcomes reachable.
+    // finite push budget make all three outcomes reachable, so whether
+    // any drop happens depends on how the host schedules the threads —
+    // drain() must report exactly that: clean iff nothing was lost.
     RuntimeConfig cfg;
     cfg.num_workers = 2;
     cfg.ring_capacity = 8;
@@ -485,13 +504,43 @@ TEST(Lifecycle, BatchedDispatchAccountsForEveryAcceptedJob)
             rt.drain_responses(responses); // keep TX mostly drained
     }
     ASSERT_GT(accepted, 0u);
-    EXPECT_TRUE(rt.drain(/*deadline_sec=*/60.0));
+    const bool clean = rt.drain(/*deadline_sec=*/60.0);
     rt.drain_responses(responses);
+    EXPECT_EQ(clean, rt.dropped_responses() + rt.abandoned_jobs() == 0)
+        << "drain() reports clean exactly when nothing was dropped or "
+           "abandoned";
     EXPECT_EQ(responses.size() + rt.dropped_responses() +
                   rt.abandoned_jobs(),
               accepted)
         << "every accepted job must be delivered, dropped, or abandoned";
     EXPECT_EQ(rt.lifecycle(), Lifecycle::Stopped);
+}
+
+TEST(Lifecycle, BatchedDispatchDrainsCleanWhenDropsAreImpossible)
+{
+    // Same batched traffic, but every ring holds all 400 requests and
+    // pushes never give up (push_spin_limit = 0), so no request can be
+    // dropped or abandoned: the drain must succeed on any host.
+    RuntimeConfig cfg;
+    cfg.num_workers = 2;
+    cfg.ring_capacity = 512;
+    cfg.push_spin_limit = 0;
+    cfg.dispatch_batch = 16;
+    Runtime rt(cfg, spin_handler());
+    rt.start();
+    constexpr uint64_t kJobs = 400;
+    std::vector<Response> responses;
+    for (uint64_t i = 0; i < kJobs; ++i) {
+        ASSERT_TRUE(rt.submit(make_spin_request(i, 500)));
+        if ((i & 63) == 63)
+            rt.drain_responses(responses);
+    }
+    EXPECT_TRUE(rt.drain(/*deadline_sec=*/60.0));
+    rt.drain_responses(responses);
+    EXPECT_EQ(responses.size(), kJobs);
+    EXPECT_EQ(rt.dropped_responses(), 0u);
+    EXPECT_EQ(rt.abandoned_jobs(), 0u);
+    EXPECT_EQ(rt.dispatched(), kJobs);
 }
 
 TEST(Lifecycle, DispatchBatchOfOneMatchesScalarBehaviour)
@@ -544,14 +593,27 @@ TEST(Lifecycle, PushSpinLimitDropsInsteadOfBlocking)
     Runtime rt(cfg, spin_handler());
     rt.start();
     constexpr uint64_t kJobs = 64;
-    for (uint64_t i = 0; i < kJobs; ++i)
+    const Cycles deadline = rdcycles() + ns_to_cycles(60e9);
+    // Feed the first capacity + 1 jobs one at a time, each after the
+    // previous one finished: the TX ring then fills and the next
+    // response must hit the spin budget and drop, however the host
+    // schedules the threads. Submitting everything at once would let
+    // the dispatcher abandon the whole backlog before a slow-starting
+    // worker finishes a fifth job.
+    uint64_t i = 0;
+    for (; i <= cfg.ring_capacity; ++i) {
+        ASSERT_TRUE(rt.submit(make_spin_request(i, 500)));
+        while (rt.worker(0).stats_line().finished.load() < i + 1 &&
+               rdcycles() < deadline)
+            std::this_thread::yield();
+    }
+    for (; i < kJobs; ++i)
         while (!rt.submit(make_spin_request(i, 500)))
             std::this_thread::yield();
     // The bounded policy guarantees progress: every accepted job either
     // finishes (response delivered or dropped at the full TX ring) or is
     // dropped by the dispatcher once its push budget runs out. Nothing
     // blocks forever.
-    const Cycles deadline = rdcycles() + ns_to_cycles(60e9);
     const auto settled = [&] {
         return rt.worker(0).stats_line().finished.load() +
                    rt.abandoned_jobs() >=
@@ -773,6 +835,72 @@ TEST(Sharded, ForcedStopAccountsEveryJobAcrossShards)
         << "every accepted job must be delivered, dropped, or abandoned";
     EXPECT_GT(rt.abandoned_jobs(), 0u)
         << "100ms of queued spin cannot drain in 5ms";
+}
+
+TEST(Sharded, SingleWriterCountersConserveExactly)
+{
+    // The per-job counters are single-writer: each is bumped by plain
+    // stores from its one owning thread (conc/cacheline.h
+    // single_writer_add). A second writer on any of them would lose
+    // updates, so after a clean drain every count must match exactly —
+    // across two shards, cross-shard stealing and preempted jobs.
+    RuntimeConfig cfg;
+    cfg.num_workers = 4;
+    cfg.num_dispatchers = 2;
+    cfg.steal_max_batch = 8;
+    cfg.steal_min_load = 2;
+    cfg.quantum_us = 2.0;
+    Runtime rt(cfg, spin_handler());
+    // Every fourth job is 20 us (about ten 2 us quanta), the rest 1 us.
+    const auto job = [](uint64_t i) {
+        return make_spin_request(i, i % 4 == 0 ? 20000 : 1000);
+    };
+    constexpr uint64_t kJobs = 1200;
+    // Half the jobs wait on shard 0 before start(), so shard 1 comes up
+    // idle and steals; the rest go through the front tier.
+    uint64_t i = 0;
+    for (; i < kJobs / 2; ++i)
+        ASSERT_TRUE(rt.submit_to_shard(job(i), 0));
+    rt.start();
+    std::vector<Response> responses;
+    for (; i < kJobs; ++i) {
+        while (!rt.submit(job(i)))
+            std::this_thread::yield();
+        if ((i & 63) == 63)
+            rt.drain_responses(responses);
+    }
+    ASSERT_TRUE(rt.drain(/*deadline_sec=*/60.0));
+    rt.drain_responses(responses);
+    ASSERT_EQ(responses.size(), kJobs);
+
+    EXPECT_EQ(rt.dispatched(0) + rt.dispatched(1), kJobs);
+    for (uint64_t len : rt.queue_lengths())
+        EXPECT_EQ(len, 0u) << "assigned - finished must return to zero";
+    uint64_t finished = 0;
+    for (int w = 0; w < cfg.num_workers; ++w) {
+        const WorkerStatsLine &line = rt.worker(w).stats_line();
+        finished += line.finished.load();
+        EXPECT_EQ(line.current_quanta.load(), 0u) << "worker " << w;
+    }
+    EXPECT_EQ(finished, kJobs);
+
+    const auto snap = rt.telemetry_snapshot();
+    EXPECT_GT(snap.stats_total_quanta, 0u) << "no job was preempted";
+    if (telemetry::kEnabled) {
+        EXPECT_EQ(snap.admitted, kJobs);
+        EXPECT_EQ(snap.finished, kJobs);
+        EXPECT_EQ(snap.dispatched, kJobs);
+        ASSERT_EQ(snap.per_shard_dispatched.size(), 2u);
+        EXPECT_EQ(snap.per_shard_dispatched[0], rt.dispatched(0));
+        EXPECT_EQ(snap.per_shard_dispatched[1], rt.dispatched(1));
+        // The stats line counts preempted slices; telemetry counts
+        // every slice, each ending in a probe yield or a completion.
+        EXPECT_EQ(snap.stats_total_quanta, snap.yields);
+        EXPECT_EQ(snap.quanta, snap.stats_total_quanta + snap.finished);
+        EXPECT_EQ(snap.queueing.count, kJobs);
+        EXPECT_EQ(snap.service.count, kJobs);
+        EXPECT_EQ(snap.dispatch.count, kJobs);
+    }
 }
 
 TEST(Sharded, SingleShardAcceptsShardZeroAffinity)

@@ -96,6 +96,31 @@ TEST(TraceRing, OverflowDropsInsteadOfBlocking)
     EXPECT_EQ(out[0].job, 99u);
 }
 
+TEST(TraceRing, RecordAtStoresTheSuppliedStamp)
+{
+    // record_at() lets a recording site reuse a cycle stamp it already
+    // read (a slice boundary, a dispatch handoff): the event must carry
+    // exactly that stamp, not a fresh counter read, and overflow still
+    // counts drops.
+    TraceRing ring(5, 2);
+    ring.record_at(42, EventKind::QuantumStart, 1, 3);
+    ring.record_at(7, EventKind::JobFinished, 2);
+    ring.record_at(99, EventKind::JobDispatched, 3); // ring full: dropped
+    EXPECT_EQ(ring.dropped(), 1u);
+
+    std::vector<TraceEvent> out;
+    ASSERT_EQ(ring.drain(out), 2u);
+    EXPECT_EQ(out[0].tsc, 42u);
+    EXPECT_EQ(out[0].kind, EventKind::QuantumStart);
+    EXPECT_EQ(out[0].job, 1u);
+    EXPECT_EQ(out[0].arg, 3u);
+    EXPECT_EQ(out[0].tid, 5u);
+    EXPECT_EQ(out[1].tsc, 7u) << "the stamp is stored as given, even "
+                                 "when it runs backwards";
+    EXPECT_EQ(out[1].kind, EventKind::JobFinished);
+    EXPECT_EQ(out[1].arg, 0u);
+}
+
 TEST(MetricsRegistry, SnapshotWhileRunning)
 {
     // One writer per worker slot hammers counters and histograms while

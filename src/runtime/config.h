@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/core_queue.h"
+
 namespace tq::runtime {
 
 /** Dispatcher load-balancing policy (paper sections 3.2, 5.4). */
@@ -20,15 +22,10 @@ enum class DispatchPolicy {
     PowerOfTwo,  ///< least-loaded of two random workers
 };
 
-/** Per-worker quantum scheduling policy. */
-enum class WorkPolicy {
-    ProcessorSharing, ///< forced multitasking in `quantum_us` slices
-    Fcfs,             ///< run to completion (probes never fire)
-    Las,              ///< least-attained-service first: resume the task
-                      ///< with the fewest serviced quanta (dynamic
-                      ///< policies are possible because probes decide
-                      ///< yields at run time, paper section 3.1)
-};
+/** Per-worker quantum scheduling policy (the sim's CorePolicy):
+ *  ProcessorSharing slices in `quantum_us`, Fcfs never arms probes,
+ *  Las resumes the task with the least attained service. */
+using WorkPolicy = sched::Policy;
 
 /** Runtime configuration. */
 struct RuntimeConfig
@@ -56,8 +53,8 @@ struct RuntimeConfig
      * class that completes early banks credit, one whose probes overrun
      * the deadline pays the overshoot back — and the bank is clamped to
      * +-deficit_clamp_us so neither windfall compounds. The effective
-     * budget at each grant is quantum + deficit, floored at quantum/4
-     * so a debt-laden class always makes real progress.
+     * budget at each grant is quantum + deficit, floored at
+     * quantum/4 + 1 so a debt-laden class always makes real progress.
      */
     double deficit_clamp_us = 8.0;
 

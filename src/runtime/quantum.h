@@ -23,6 +23,7 @@
 
 #include <atomic>
 
+#include "common/core_queue.h"
 #include "common/cycles.h"
 
 namespace tq::runtime {
@@ -30,7 +31,7 @@ namespace tq::runtime {
 /** Job classes with distinct quanta. `job_class` values at or beyond
  *  the limit clamp into the last slot (they still schedule; they just
  *  share a quantum), matching telemetry's per-class instrument bound. */
-inline constexpr int kMaxQuantumClasses = 8;
+inline constexpr int kMaxQuantumClasses = sched::kMaxClasses;
 
 /** Atomic per-class quantum cycle budgets (single writer after
  *  construction: the adaptive controller; readers: workers, one

@@ -28,15 +28,15 @@ Worker::Worker(int id, const RuntimeConfig &cfg, Handler handler,
       // table is dropped and the fixed path runs (DESIGN.md §4i).
       quanta_table_(cfg.work == WorkPolicy::Fcfs ? nullptr : quanta),
       per_class_(quanta_table_ != nullptr),
-      deficit_clamp_cycles_(ns_to_cycles(cfg.deficit_clamp_us * 1e3)),
       dispatch_ring_(cfg.ring_capacity),
-      tx_ring_(cfg.ring_capacity)
+      tx_ring_(cfg.ring_capacity),
+      queue_(cfg.work,
+             per_class_ ? ns_to_cycles(cfg.deficit_clamp_us * 1e3) : 0,
+             per_class_ ? cfg.starvation_promote_after : 0)
 {
     TQ_CHECK(cfg_.tasks_per_worker > 0);
     TQ_CHECK(handler_);
     TQ_CHECK(lc_ != nullptr);
-    if (cfg_.work == WorkPolicy::Las)
-        las_heap_.reserve(static_cast<size_t>(cfg_.tasks_per_worker));
     for (int t = 0; t < cfg_.tasks_per_worker; ++t) {
         auto task = std::make_unique<Task>();
         Task *raw = task.get();
@@ -74,8 +74,6 @@ Worker::poll_admissions()
             Task *task = idle_.back();
             idle_.pop_back();
             task->req = pending[i];
-            task->quanta = 0;
-            task->admit_seq = admit_seq_next_++;
             task->service_cycles = 0;
             task->started = false;
             task->job_done = false;
@@ -83,23 +81,14 @@ Worker::poll_admissions()
             if (per_class_) {
                 // Quantum resolution point (DESIGN.md §4i): one relaxed
                 // table load per job, here at admission. Every later
-                // probe/yield decision compares against the Task's
-                // precomputed cycle budget — a controller update never
+                // probe/yield decision compares against the budget the
+                // queue holds for the job — a controller update never
                 // reaches a job mid-service.
                 const int slot =
                     ClassQuantumTable::slot_of(pending[i].job_class);
-                task->cls = static_cast<uint8_t>(slot);
-                task->budget_cycles = quanta_table_->load(slot);
-                ++class_sched_[static_cast<size_t>(slot)].runnable;
+                queue_.admit(task, slot, quanta_table_->load(slot));
             } else {
-                task->budget_cycles = quantum_cycles_;
-            }
-            if (cfg_.work == WorkPolicy::Las) {
-                las_heap_.push_back(task);
-                std::push_heap(las_heap_.begin(), las_heap_.end(),
-                               LasAfter{});
-            } else {
-                busy_.push_back(task);
+                queue_.admit(task, 0, quantum_cycles_);
             }
 #if defined(TQ_TELEMETRY_ENABLED)
             single_writer_add(telem_->counters.admitted, 1);
@@ -110,85 +99,14 @@ Worker::poll_admissions()
     }
 }
 
-Worker::Task *
-Worker::select_task()
-{
-    if (per_class_ && cfg_.starvation_promote_after != 0) {
-        // Starvation guard (DESIGN.md §4i): a class passed over for
-        // starvation_promote_after consecutive grants while runnable is
-        // force-promoted ahead of the policy order. The scan is eight
-        // worker-private loads; the extract below is the cold path.
-        int starved = -1;
-        uint32_t worst = 0;
-        for (int c = 0; c < kMaxQuantumClasses; ++c) {
-            const ClassSched &cs = class_sched_[static_cast<size_t>(c)];
-            if (cs.runnable != 0 &&
-                cs.skipped >= cfg_.starvation_promote_after &&
-                cs.skipped > worst) {
-                worst = cs.skipped;
-                starved = c;
-            }
-        }
-        if (starved >= 0) {
-            Task *task = extract_promoted(starved);
-            if (task != nullptr) {
-                // cold: fires at most once per promote_after grants
-                starvation_promotions_.fetch_add(1, std::memory_order_relaxed);
-                return task;
-            }
-        }
-    }
-    if (cfg_.work == WorkPolicy::Las) {
-        // Least-attained-service: resume the task that has consumed the
-        // fewest quanta, FIFO among equals — O(log n) heap selection in
-        // place of the old O(n) scan + mid-vector erase.
-        std::pop_heap(las_heap_.begin(), las_heap_.end(), LasAfter{});
-        Task *task = las_heap_.back();
-        las_heap_.pop_back();
-        return task;
-    }
-    Task *task = busy_.front();
-    busy_.pop_front();
-    return task;
-}
-
-Worker::Task *
-Worker::extract_promoted(int cls)
-{
-    if (cfg_.work == WorkPolicy::Las) {
-        // The class's best task under the LAS order (fewest quanta,
-        // FIFO among equals), extracted by scan + re-heapify: O(n) over
-        // at most tasks_per_worker entries, on a rare path.
-        size_t best = las_heap_.size();
-        for (size_t i = 0; i < las_heap_.size(); ++i) {
-            if (las_heap_[i]->cls != cls)
-                continue;
-            if (best == las_heap_.size() ||
-                LasAfter{}(las_heap_[best], las_heap_[i]))
-                best = i;
-        }
-        if (best == las_heap_.size())
-            return nullptr; // defensive: runnable count said otherwise
-        Task *task = las_heap_[best];
-        las_heap_.erase(las_heap_.begin() + static_cast<ptrdiff_t>(best));
-        std::make_heap(las_heap_.begin(), las_heap_.end(), LasAfter{});
-        return task;
-    }
-    for (auto it = busy_.begin(); it != busy_.end(); ++it) {
-        if ((*it)->cls == cls) {
-            Task *task = *it;
-            busy_.erase(it);
-            return task;
-        }
-    }
-    return nullptr;
-}
-
 void
 Worker::run_one_slice()
 {
     TQ_FAULT_SITE(WorkerSlice);
-    Task *task = select_task();
+    const Queue::Grant grant = queue_.pick();
+    Task *task = grant.item;
+    if (grant.promoted) // cold: fires at most once per promote_after grants
+        starvation_promotions_.fetch_add(1, std::memory_order_relaxed);
 
     // The paper's call_the_yield binding: before resuming, point the
     // thread-local yield hook at this task's coroutine so probes in the
@@ -196,14 +114,9 @@ Worker::run_one_slice()
     bind_yield(
         [](void *coro) { static_cast<Coroutine *>(coro)->yield(); },
         task->coro.get());
-    // Budget for this grant: the admission-resolved quantum, deficit-
-    // adjusted in per-class mode. On the fixed path budget_cycles is
-    // exactly quantum_cycles_, so the armed deadline is unchanged.
-    Cycles budget = task->budget_cycles;
-    if (per_class_)
-        budget = effective_budget(
-            task->budget_cycles,
-            class_sched_[static_cast<size_t>(task->cls)].deficit);
+    // The admission-resolved quantum, deficit-adjusted in per-class
+    // mode; exactly quantum_cycles_ on the fixed path.
+    const Cycles budget = grant.budget;
     // One cycle-counter read per slice boundary. The start stamp feeds
     // the armed deadline, the queue-stage sample and the QuantumStart
     // event; the end stamp feeds the slice length (telemetry and
@@ -237,10 +150,10 @@ Worker::run_one_slice()
     }
     single_writer_add(telem_->counters.quanta, 1);
     telem_->trace.record_at(slice_start, telemetry::EventKind::QuantumStart,
-                            task->req.id, task->quanta);
+                            task->req.id, grant.quanta);
     if (per_class_) {
-        single_writer_add(telem_->class_grants[task->cls], 1);
-        single_writer_add(telem_->class_granted_cycles[task->cls], budget);
+        single_writer_add(telem_->class_grants[grant.cls], 1);
+        single_writer_add(telem_->class_granted_cycles[grant.cls], budget);
     }
     task->service_cycles += slice;
     if (!task->job_done && cfg_.work != WorkPolicy::Fcfs) {
@@ -249,48 +162,20 @@ Worker::run_one_slice()
         telem_->preempt_cycles.add(slice > budget ? slice - budget : 0);
     }
 #endif
-    if (per_class_) {
-        // Deficit settlement: bank granted-minus-used. A class that
-        // completes inside its budget accrues credit (its next grants
-        // run a little longer); one whose probes overrun the deadline
-        // goes into debt and pays the overshoot back. The clamp bounds
-        // both directions (DESIGN.md §4i invariants).
-        ClassSched &cs = class_sched_[static_cast<size_t>(task->cls)];
-        ++cs.grants;
-        cs.granted_cycles += budget;
-        const int64_t clamp = static_cast<int64_t>(deficit_clamp_cycles_);
-        const int64_t settled = cs.deficit + static_cast<int64_t>(budget) -
-                                static_cast<int64_t>(slice);
-        cs.deficit = std::clamp(settled, -clamp, clamp);
+    // Deficit settlement (a class whose probes overran the deadline
+    // pays the overshoot back), then requeue unless the job finished.
+    queue_.settle(task, slice, task->job_done);
 #if defined(TQ_TELEMETRY_ENABLED)
-        telem_->class_deficit[task->cls].store(cs.deficit,
-                                               std::memory_order_relaxed);
+    if (per_class_)
+        telem_->class_deficit[grant.cls].store(
+            queue_.account(grant.cls).deficit, std::memory_order_relaxed);
 #endif
-        // Starvation bookkeeping: this class was served; every other
-        // class with runnable tasks was passed over once more.
-        for (int c = 0; c < kMaxQuantumClasses; ++c) {
-            ClassSched &other = class_sched_[static_cast<size_t>(c)];
-            if (c == task->cls)
-                other.skipped = 0;
-            else if (other.runnable != 0)
-                ++other.skipped;
-        }
-    }
 
     if (task->job_done) {
-        complete(task, slice_end);
+        complete(grant, slice_end);
     } else {
-        // Preempted: account the serviced quantum and requeue — tail of
-        // the PS ring, or heap reinsert with the bumped quanta for LAS.
-        ++task->quanta;
         single_writer_add(stats_.current_quanta, 1);
         single_writer_add(stats_.total_quanta, 1);
-        if (cfg_.work == WorkPolicy::Las) {
-            las_heap_.push_back(task);
-            std::push_heap(las_heap_.begin(), las_heap_.end(), LasAfter{});
-        } else {
-            busy_.push_back(task);
-        }
     }
 }
 
@@ -319,8 +204,9 @@ Worker::push_response(const Response &resp)
 }
 
 void
-Worker::complete(Task *task, Cycles done_at)
+Worker::complete(const Queue::Grant &grant, Cycles done_at)
 {
+    Task *task = grant.item;
     Response resp;
     resp.id = task->req.id;
     resp.gen_cycles = task->req.gen_cycles;
@@ -338,9 +224,7 @@ Worker::complete(Task *task, Cycles done_at)
     // queue length. The worker is the line's only writer, so plain
     // stores suffice (conc/cacheline.h single_writer_add).
     single_writer_add(stats_.finished, 1);
-    single_writer_sub(stats_.current_quanta, task->quanta);
-    if (per_class_)
-        --class_sched_[static_cast<size_t>(task->cls)].runnable;
+    single_writer_sub(stats_.current_quanta, grant.quanta);
 #if defined(TQ_TELEMETRY_ENABLED)
     single_writer_add(telem_->counters.finished, 1);
     telem_->service_cycles.add(task->service_cycles);
@@ -349,9 +233,9 @@ Worker::complete(Task *task, Cycles done_at)
     if (per_class_) {
         // Per-class controller feed (DESIGN.md §4i): attained service
         // and sojourn keyed by the quantum-table slot.
-        single_writer_add(telem_->class_finished[task->cls], 1);
-        telem_->class_service[task->cls].add(task->service_cycles);
-        telem_->class_sojourn[task->cls].add(done_at -
+        single_writer_add(telem_->class_finished[grant.cls], 1);
+        telem_->class_service[grant.cls].add(task->service_cycles);
+        telem_->class_sojourn[grant.cls].add(done_at -
                                              task->req.arrival_cycles);
     }
 #endif
@@ -364,16 +248,7 @@ Worker::abandon_remaining()
     // Clear the run queue so a second sweep only sees what arrived
     // since — the tasks' coroutines are suspended mid-job and are never
     // resumed again; tasks_ still owns them for destruction.
-    uint64_t abandoned =
-        static_cast<uint64_t>(busy_.size() + las_heap_.size());
-    if (per_class_) {
-        for (const Task *t : busy_)
-            --class_sched_[static_cast<size_t>(t->cls)].runnable;
-        for (const Task *t : las_heap_)
-            --class_sched_[static_cast<size_t>(t->cls)].runnable;
-    }
-    busy_.clear();
-    las_heap_.clear();
+    uint64_t abandoned = queue_.clear();
     while (dispatch_ring_.pop())
         ++abandoned;
     // The worker's own final sweep and the runtime's post-join sweep
@@ -392,7 +267,7 @@ Worker::run()
         if (phase >= Lifecycle::Stopping)
             break;
         poll_admissions();
-        if (!ready_empty()) {
+        if (!queue_.empty()) {
             empty_polls = 0;
             run_one_slice();
             continue;

@@ -12,10 +12,11 @@
  * back to the scheduler.
  *
  * Admissions drain the dispatch ring in batches (SpscRing::pop_n — one
- * shared-index acquire/release pair per batch). Run-queue selection is
- * PS: ring rotation; FCFS: front of queue; LAS: an O(log n) binary
- * min-heap keyed on (quanta, admit_seq), FIFO among equal-quanta tasks
- * — the same order the previous O(n) scan produced.
+ * shared-index acquire/release pair per batch). Which task runs next,
+ * and with what budget, is decided by sched::CoreQueue
+ * (common/core_queue.h): the PS ring, the LAS heap, the per-class
+ * deficit and the starvation guard. The simulator schedules its cores
+ * with the same class, so the two engines share one per-core policy.
  *
  * Every counter the worker publishes per job (its stats line, its
  * telemetry slot) has the worker as its only writer, so the hot path
@@ -33,11 +34,11 @@
 #define TQ_RUNTIME_WORKER_H
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "common/core_queue.h"
 #include "conc/spsc_ring.h"
 #include "coro/coroutine.h"
 #include "runtime/config.h"
@@ -67,9 +68,9 @@ class Worker
      *     loop boundaries and inside every backpressure loop.
      * @param quanta the runtime's shared per-class quantum table, or
      *     nullptr for the fixed-quantum path (empty class_quantum_us and
-     *     no adaptation): with no table the worker carries zero
-     *     per-class state and behaves exactly as before the table
-     *     existed (DESIGN.md §4i, byte-identical fallback).
+     *     no adaptation): with no table every task runs in class 0
+     *     at the fixed quantum, with no deficit and no starvation
+     *     guard (DESIGN.md §4i, byte-identical fallback).
      */
     Worker(int id, const RuntimeConfig &cfg, Handler handler,
            telemetry::WorkerTelemetry *telem, const LifecycleControl *lc,
@@ -136,28 +137,24 @@ class Worker
         return starvation_promotions_.load(std::memory_order_relaxed);
     }
 
-    /** One class's scheduling account (per-class mode only). Plain
-     *  fields, written only by the worker thread: read them after the
-     *  thread has been joined (tests, post-drain reports). */
-    struct ClassSched
-    {
-        int64_t deficit = 0;          ///< banked cycles, clamped to
-                                      ///< +-deficit_clamp (DESIGN.md §4i)
-        uint32_t skipped = 0;         ///< consecutive grants that went to
-                                      ///< other classes while runnable
-        uint32_t runnable = 0;        ///< tasks of this class in the runq
-        uint64_t grants = 0;          ///< slices granted
-        uint64_t granted_cycles = 0;  ///< sum of armed budgets (effective-
-                                      ///< quantum parity with the sim)
-    };
+  private:
+    struct Task;
+    using Queue = sched::CoreQueue<Task *, Cycles>;
+
+  public:
+    /** One class's scheduling account: deficit (banked cycles within
+     *  +-deficit_clamp, DESIGN.md §4i), skipped, runnable, grants and
+     *  granted (sum of armed budgets). */
+    using ClassSched = Queue::Account;
 
     /** Class @p slot's account. Zeros on the fixed-quantum path. Safe
      *  only from the worker thread or after it has been joined. */
-    const ClassSched &
+    ClassSched
     class_sched(int slot) const
     {
-        return class_sched_[static_cast<size_t>(
-            ClassQuantumTable::slot_of(slot))];
+        return per_class_
+                   ? queue_.account(ClassQuantumTable::slot_of(slot))
+                   : ClassSched{};
     }
 
   private:
@@ -166,38 +163,11 @@ class Worker
     {
         Request req;               ///< job currently bound to the slot
         uint64_t result = 0;       ///< handler return value
-        uint32_t quanta = 0;       ///< quanta consumed by the current job
-        uint64_t admit_seq = 0;    ///< admission order (LAS FIFO ties)
-        Cycles budget_cycles = 0;  ///< quantum resolved at admission (one
-                                   ///< table load; the probe deadline
-                                   ///< compares against this precomputed
-                                   ///< cycle budget, DESIGN.md §4i)
-        uint8_t cls = 0;           ///< quantum-table slot of req.job_class
         Cycles service_cycles = 0; ///< accumulated slice time (telemetry)
         bool started = false;      ///< first slice already ran
         bool has_job = false;      ///< a job is admitted to this slot
         bool job_done = false;     ///< handler returned; response pending
         std::unique_ptr<Coroutine> coro; ///< persistent task coroutine
-    };
-
-    /**
-     * Min-heap order over (quanta, admit_seq) for std::push_heap (which
-     * builds a max-heap, so the comparator is reversed): the task with
-     * the fewest serviced quanta wins, FIFO among equals by admission
-     * sequence. This reproduces the old O(n) scan's selection exactly
-     * (the scan picked the earliest-queued minimum, which by induction
-     * is the earliest-admitted one) at O(log n) per selection with no
-     * mid-vector erase.
-     */
-    struct LasAfter
-    {
-        bool
-        operator()(const Task *a, const Task *b) const
-        {
-            if (a->quanta != b->quanta)
-                return a->quanta > b->quanta;
-            return a->admit_seq > b->admit_seq;
-        }
     };
 
     /** Admission batch: enough to refill every default task slot in one
@@ -206,38 +176,10 @@ class Worker
 
     void poll_admissions();
     void run_one_slice();
-    /** Publish @p task's response, stamped @p done_at (the slice-end
-     *  stamp), and recycle its slot. */
-    void complete(Task *task, Cycles done_at);
+    /** Publish the response of @p grant's task, stamped @p done_at (the
+     *  slice-end stamp), and recycle its slot. */
+    void complete(const Queue::Grant &grant, Cycles done_at);
     bool push_response(const Response &resp);
-
-    /** Pop the next task per policy, or the most-starved class's best
-     *  task when the starvation guard fires (per-class mode only). */
-    Task *select_task();
-
-    /** Extract class @p cls's best task from the run queue: the LAS
-     *  minimum of that class, or the PS front-most. Cold path — only
-     *  reached when the guard fires after starvation_promote_after
-     *  consecutive skipped grants. */
-    Task *extract_promoted(int cls);
-
-    /** Effective budget at grant time: quantum + clamped deficit,
-     *  floored at quantum/4 so a debt-laden class still progresses. */
-    Cycles
-    effective_budget(Cycles base, int64_t deficit) const
-    {
-        const int64_t budget = static_cast<int64_t>(base) + deficit;
-        const int64_t floor = static_cast<int64_t>(base / 4) + 1;
-        return static_cast<Cycles>(budget > floor ? budget : floor);
-    }
-
-    /** Admitted-but-unfinished tasks under the active work policy. */
-    bool
-    ready_empty() const
-    {
-        return cfg_.work == WorkPolicy::Las ? las_heap_.empty()
-                                            : busy_.empty();
-    }
 
     int id_;
     const RuntimeConfig cfg_;
@@ -247,13 +189,11 @@ class Worker
     Cycles quantum_cycles_;
 
     /** Per-class scheduling (DESIGN.md §4i). per_class_ is false on the
-     *  fixed path (no table, or FCFS where probes never fire): then no
-     *  member below is ever touched and run_one_slice() arms the same
-     *  quantum_cycles_ budget as before the table existed. */
+     *  fixed path (no table, or FCFS where probes never fire): then
+     *  every task is class 0 with budget quantum_cycles_, and the queue
+     *  runs with no deficit clamp and no starvation guard. */
     const ClassQuantumTable *quanta_table_;
     bool per_class_;
-    Cycles deficit_clamp_cycles_ = 0;
-    ClassSched class_sched_[kMaxQuantumClasses] = {};
 
     SpscRing<Request> dispatch_ring_;
     SpscRing<Response> tx_ring_;
@@ -261,12 +201,8 @@ class Worker
 
     std::vector<std::unique_ptr<Task>> tasks_;
     std::vector<Task *> idle_;
-    /** PS/FCFS run queue: plain ring rotation (pop front, push back). */
-    std::deque<Task *> busy_;
-    /** LAS run queue: binary min-heap on (quanta, admit_seq). Only one
-     *  of busy_ / las_heap_ is populated, per cfg_.work. */
-    std::vector<Task *> las_heap_;
-    uint64_t admit_seq_next_ = 0;
+    /** Admitted, unfinished tasks and the per-class accounts. */
+    Queue queue_;
 
     // Backpressure / shutdown accounting. Always recorded (unlike the
     // TQ_TELEMETRY counters): every touch is on the cold overflow or
@@ -274,8 +210,9 @@ class Worker
     std::atomic<uint64_t> tx_full_spins_{0};
     std::atomic<uint64_t> dropped_responses_{0};
     std::atomic<uint64_t> abandoned_jobs_{0};
-    /** Starvation-guard force-promotions (cold path; always recorded
-     *  so the guard is observable in -DTQ_TELEMETRY=OFF builds too). */
+    /** Starvation-guard force-promotions, published for live snapshots
+     *  (cold path; always recorded so the guard is observable in
+     *  -DTQ_TELEMETRY=OFF builds too). */
     std::atomic<uint64_t> starvation_promotions_{0};
 };
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/core_queue.h"
 #include "common/rng.h"
 #include "common/shard.h"
 #include "sim/event_core.h"
@@ -17,12 +18,15 @@ constexpr uint32_t kNone = ~0u;
 
 enum EventKind : uint32_t { kArrival, kDispatchDone, kCoreDone, kFrontDone };
 
+using Queue = sched::CoreQueue<uint32_t, SimNanos>;
+
 /** Per-core scheduler state. */
 struct Core
 {
-    std::deque<uint32_t> runq;   ///< admitted, not currently running
+    Queue queue;                 ///< admitted units, not running
     uint32_t running = kNone;
     SimNanos slice = 0;          ///< service granted to `running`
+    uint32_t running_quanta = 0; ///< quanta `running` had before
     uint64_t quanta_sum = 0;     ///< MSQ metric: serviced quanta of
                                  ///< currently admitted jobs
     int jobs = 0;                ///< queue length seen by JSQ
@@ -30,14 +34,6 @@ struct Core
     // Figure-16 style effective-quantum accounting.
     double grant_intervals = 0;
     uint64_t grants = 0;
-    SimNanos granted = 0;        ///< budget granted to `running` (the
-                                 ///< deficit charges granted - used)
-    // Per-class scheduler mirror (DESIGN.md §4i), sized only when the
-    // deficit/starvation knobs are active — empty otherwise so the
-    // default path touches none of it.
-    std::vector<SimNanos> deficit;  ///< banked credit, ±deficit_clamp
-    std::vector<uint64_t> skipped;  ///< consecutive grants passed over
-    std::vector<uint32_t> runnable; ///< admitted units per class
 };
 
 struct Dispatcher
@@ -56,7 +52,6 @@ class TwoLevelSim
           core_(dist, rate, cfg.seed, cfg.duration, cfg.max_in_flight,
                 cfg.stop_when_saturated, cfg.warmup),
           fanout_(static_cast<uint32_t>(cfg.fanout)),
-          cores_(static_cast<size_t>(cfg.num_cores)),
           assigned_(static_cast<size_t>(cfg.num_cores), 0),
           snap_finished_(static_cast<size_t>(cfg.num_cores), 0),
           snap_quanta_(static_cast<size_t>(cfg.num_cores), 0)
@@ -77,21 +72,16 @@ class TwoLevelSim
             TQ_CHECK(cfg_.class_quantum.size() ==
                      dist.class_names().size());
         num_classes_ = dist.class_names().size();
+        TQ_CHECK(num_classes_ <= static_cast<size_t>(sched::kMaxClasses));
         class_grant_intervals_.resize(num_classes_, 0);
-        class_grants_.resize(num_classes_, 0);
-        // The deficit/starvation mirror needs a per-class quantum table
-        // to mirror, exactly like the runtime (a fixed-quantum worker
-        // has no per-class state), and FCFS cores never slice.
-        per_class_sched_ = !cfg_.class_quantum.empty() &&
-                           cfg_.core_policy != CorePolicy::Fcfs &&
-                           (cfg_.deficit_clamp > 0 ||
-                            cfg_.starvation_promote_after > 0);
-        if (per_class_sched_)
-            for (auto &core : cores_) {
-                core.deficit.resize(num_classes_, 0);
-                core.skipped.resize(num_classes_, 0);
-                core.runnable.resize(num_classes_, 0);
-            }
+        // Like the runtime, only a per-class quantum table arms the
+        // deficit and the starvation guard.
+        const bool per_class = !cfg_.class_quantum.empty();
+        cores_.assign(static_cast<size_t>(cfg.num_cores),
+                      Core{Queue(cfg_.core_policy,
+                                 per_class ? cfg_.deficit_clamp : 0,
+                                 per_class ? cfg_.starvation_promote_after
+                                           : 0)});
     }
 
     SimResult
@@ -122,16 +112,21 @@ class TwoLevelSim
         for (const auto &core : cores_) {
             intervals += core.grant_intervals;
             grants += core.grants;
+            result.starvation_promotions += core.queue.promotions();
         }
         result.avg_effective_quantum =
             grants ? intervals / static_cast<double>(grants) : 0;
         result.class_effective_quantum.resize(num_classes_, 0);
-        for (size_t c = 0; c < num_classes_; ++c)
-            if (class_grants_[c])
+        for (size_t c = 0; c < num_classes_; ++c) {
+            uint64_t class_grants = 0;
+            for (const auto &core : cores_)
+                class_grants +=
+                    core.queue.account(static_cast<int>(c)).grants;
+            if (class_grants)
                 result.class_effective_quantum[c] =
                     class_grant_intervals_[c] /
-                    static_cast<double>(class_grants_[c]);
-        result.starvation_promotions = starvation_promotions_;
+                    static_cast<double>(class_grants);
+        }
         return result;
     }
 
@@ -155,13 +150,6 @@ class TwoLevelSim
     {
         return fanout_ == 1 ? job(unit).remaining
                             : shard_remaining_[unit];
-    }
-
-    uint64_t
-    quanta_of(uint32_t unit)
-    {
-        return fanout_ == 1 ? job(unit).serviced_quanta
-                            : shard_quanta_[unit];
     }
 
     // ------------------------------------------------------- arrivals --
@@ -257,18 +245,14 @@ class TwoLevelSim
     split_into_shards(uint32_t idx)
     {
         const size_t need = static_cast<size_t>(idx + 1) * fanout_;
-        if (shard_remaining_.size() < need) {
+        if (shard_remaining_.size() < need)
             shard_remaining_.resize(need, 0);
-            shard_quanta_.resize(need, 0);
-        }
         if (shards_live_.size() <= idx)
             shards_live_.resize(static_cast<size_t>(idx) + 1, 0);
         shards_live_[idx] = fanout_;
         const double per_shard = job(idx).remaining / fanout_;
-        for (uint32_t s = 0; s < fanout_; ++s) {
+        for (uint32_t s = 0; s < fanout_; ++s)
             shard_remaining_[idx * fanout_ + s] = per_shard;
-            shard_quanta_[idx * fanout_ + s] = 0;
-        }
     }
 
     void
@@ -294,12 +278,10 @@ class TwoLevelSim
 
         const int target = pick_core(d);
         Core &core = cores_[static_cast<size_t>(target)];
-        core.runq.push_back(unit);
+        const Job &j = job(idx_of(unit));
+        core.queue.admit(unit, j.job_class, quantum_for(j));
         ++core.jobs;
         ++assigned_[static_cast<size_t>(target)];
-        core.quanta_sum += quanta_of(unit); // 0 for fresh units
-        if (per_class_sched_)
-            ++core.runnable[class_of(unit)];
         if (core.running == kNone)
             start_slice(target);
 
@@ -399,20 +381,6 @@ class TwoLevelSim
     }
 
     // ------------------------------------------------------- workers --
-    /** Service received so far (LAS priority key), per unit. */
-    double
-    attained(uint32_t unit)
-    {
-        if (fanout_ == 1) {
-            const Job &j = job(unit);
-            return j.demand * (1.0 + cfg_.probe_overhead_frac) -
-                   j.remaining;
-        }
-        const Job &j = job(idx_of(unit));
-        return j.demand * (1.0 + cfg_.probe_overhead_frac) / fanout_ -
-               shard_remaining_[unit];
-    }
-
     SimNanos
     quantum_for(const Job &j) const
     {
@@ -421,120 +389,29 @@ class TwoLevelSim
         return cfg_.quantum;
     }
 
-    size_t
-    class_of(uint32_t unit)
-    {
-        return static_cast<size_t>(job(idx_of(unit)).job_class);
-    }
-
-    /**
-     * Starvation guard (mirror of Worker::select_task): pick the most-
-     * starved runnable class at or past the promotion threshold and
-     * extract its least-attained unit (PS: first of class, matching the
-     * runtime's front-of-deque scan). Returns false when no class
-     * qualifies and the normal PS/LAS pick should run.
-     */
-    bool
-    promote_starved(Core &core)
-    {
-        if (cfg_.starvation_promote_after == 0)
-            return false;
-        size_t cls = num_classes_;
-        uint64_t worst = cfg_.starvation_promote_after - 1;
-        for (size_t k = 0; k < num_classes_; ++k)
-            if (core.runnable[k] != 0 && core.skipped[k] > worst) {
-                worst = core.skipped[k];
-                cls = k;
-            }
-        if (cls == num_classes_)
-            return false;
-        size_t best = core.runq.size();
-        double best_attained = 0;
-        for (size_t i = 0; i < core.runq.size(); ++i) {
-            if (class_of(core.runq[i]) != cls)
-                continue;
-            if (cfg_.core_policy != CorePolicy::Las) {
-                best = i; // PS: first admitted unit of the class
-                break;
-            }
-            const double a = attained(core.runq[i]);
-            if (best == core.runq.size() || a < best_attained) {
-                best_attained = a;
-                best = i;
-            }
-        }
-        TQ_CHECK(best < core.runq.size()); // runnable[cls] != 0
-        core.running = core.runq[best];
-        core.runq.erase(core.runq.begin() + static_cast<ptrdiff_t>(best));
-        ++starvation_promotions_;
-        return true;
-    }
-
     void
     start_slice(int c)
     {
         Core &core = cores_[static_cast<size_t>(c)];
         TQ_CHECK(core.running == kNone);
-        if (core.runq.empty())
+        if (core.queue.empty())
             return;
-        if (per_class_sched_ && promote_starved(core)) {
-            // fall through to the budget computation with `running` set
-        } else if (cfg_.core_policy == CorePolicy::Las) {
-            // Least-attained-service first: serve the job that has
-            // received the least service so far (FIFO among equals).
-            size_t best = 0;
-            double best_attained = attained(core.runq[0]);
-            for (size_t i = 1; i < core.runq.size(); ++i) {
-                const double a = attained(core.runq[i]);
-                if (a < best_attained) {
-                    best_attained = a;
-                    best = i;
-                }
-            }
-            core.running = core.runq[best];
-            core.runq.erase(core.runq.begin() +
-                            static_cast<ptrdiff_t>(best));
-        } else {
-            core.running = core.runq.front();
-            core.runq.pop_front();
-        }
-        const Job &j = job(idx_of(core.running));
-        const SimNanos remaining = remaining_of(core.running);
-        SimNanos budget = quantum_for(j);
-        if (per_class_sched_ && cfg_.deficit_clamp > 0) {
-            // Effective budget = base + banked deficit, floored at a
-            // quarter-quantum so a deeply indebted class still makes
-            // progress (Worker::effective_budget).
-            const size_t cls = class_of(core.running);
-            budget = std::max(budget / 4, budget + core.deficit[cls]);
-        }
+        const Queue::Grant grant = core.queue.pick();
+        core.running = grant.item;
+        core.running_quanta = grant.quanta;
+        const SimNanos remaining = remaining_of(grant.item);
         const SimNanos slice = cfg_.core_policy == CorePolicy::Fcfs
                                    ? remaining
-                                   : std::min(budget, remaining);
+                                   : std::min(grant.budget, remaining);
         TQ_DCHECK(slice > 0);
         core.slice = slice;
-        core.granted = budget;
         const SimNanos busy = slice + cfg_.overheads.switch_overhead;
         // Effective-quantum metric (Figure 16): spacing between grants
         // net of the constant per-slice mechanism overhead.
         core.grant_intervals += slice;
         ++core.grants;
-        if (num_classes_ != 0) {
-            const size_t cls = class_of(core.running);
-            class_grant_intervals_[cls] += slice;
-            ++class_grants_[cls];
-        }
-        if (per_class_sched_) {
-            // One grant elapsed: the granted class's starvation clock
-            // resets, every other runnable class ages one step.
-            const size_t cls = class_of(core.running);
-            for (size_t k = 0; k < num_classes_; ++k) {
-                if (k == cls)
-                    core.skipped[k] = 0;
-                else if (core.runnable[k] != 0)
-                    ++core.skipped[k];
-            }
-        }
+        if (num_classes_ != 0)
+            class_grant_intervals_[grant.cls] += slice;
         core_.schedule(core_.now() + busy, kCoreDone, c);
     }
 
@@ -546,25 +423,18 @@ class TwoLevelSim
         core.running = kNone;
         double &remaining = remaining_of(unit);
         remaining -= core.slice;
+        // A slice never exceeds its budget here (no probe latency), so
+        // the deficit only ever banks early-completion credit.
+        const bool done = remaining <= 1e-9;
+        core.queue.settle(unit, core.slice, done);
 
-        if (per_class_sched_ && cfg_.deficit_clamp > 0) {
-            // Granted minus used, clamped: early completers bank credit
-            // toward their class's next grant (Worker::run_one_slice).
-            const size_t cls = class_of(unit);
-            core.deficit[cls] = std::clamp(
-                core.deficit[cls] + core.granted - core.slice,
-                -cfg_.deficit_clamp, cfg_.deficit_clamp);
-        }
-
-        if (remaining <= 1e-9) {
+        if (done) {
             // Unit done: at fanout 1 the response leaves directly from
             // the worker; a fanned-out request completes only when its
             // LAST shard drains (scatter-gather gathers at the client).
             --core.jobs;
             ++core.finished;
-            core.quanta_sum -= quanta_of(unit);
-            if (per_class_sched_)
-                --core.runnable[class_of(unit)];
+            core.quanta_sum -= core.running_quanta;
             if (fanout_ == 1) {
                 core_.complete(unit, core_.now() +
                                          cfg_.overheads.response_cost);
@@ -575,12 +445,7 @@ class TwoLevelSim
                         idx, core_.now() + cfg_.overheads.response_cost);
             }
         } else {
-            if (fanout_ == 1)
-                ++job(unit).serviced_quanta;
-            else
-                ++shard_quanta_[unit];
-            ++core.quanta_sum;
-            core.runq.push_back(unit); // PS: back of the round-robin queue
+            ++core.quanta_sum; // requeued by settle()
         }
         start_slice(c);
     }
@@ -591,7 +456,6 @@ class TwoLevelSim
 
     /** Per-unit shard state, only populated at fanout > 1. */
     std::vector<double> shard_remaining_;
-    std::vector<uint64_t> shard_quanta_;
     std::vector<uint32_t> shards_live_; ///< per job index
 
     std::vector<Dispatcher> dispatchers_;
@@ -609,12 +473,9 @@ class TwoLevelSim
     SimNanos last_refresh_ = -1;
     std::vector<int> ties_;
 
-    // Per-class scheduler mirror (DESIGN.md §4i).
     size_t num_classes_ = 0;
-    bool per_class_sched_ = false;
-    std::vector<double> class_grant_intervals_;
-    std::vector<uint64_t> class_grants_;
-    uint64_t starvation_promotions_ = 0;
+    std::vector<double> class_grant_intervals_; ///< granted slices
+
 };
 
 } // namespace

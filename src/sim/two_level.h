@@ -7,7 +7,8 @@
  * The dispatcher is a serial resource (dispatch_cost per job) applying a
  * blind load-balancing policy — JSQ with MSQ or random tie-breaking,
  * uniform random, or power-of-two choices. Each worker core schedules
- * its admitted jobs with processor sharing in `quantum`-sized slices
+ * its admitted jobs with the runtime worker's own per-core scheduler
+ * (common/core_queue.h): PS or LAS in `quantum`-sized slices
  * (switch_overhead charged per preemption) or FCFS run-to-completion.
  * Responses leave directly from the worker (response_cost), matching the
  * paper's datapath.
@@ -22,6 +23,7 @@
 #define TQ_SIM_TWO_LEVEL_H
 
 #include "common/arrival.h"
+#include "common/core_queue.h"
 #include "common/dist.h"
 #include "sim/metrics.h"
 #include "sim/overheads.h"
@@ -36,14 +38,8 @@ enum class LbPolicy {
     PowerOfTwo,  ///< least-loaded of two random cores
 };
 
-/** Per-core quantum scheduling policies. */
-enum class CorePolicy {
-    ProcessorSharing, ///< round-robin quanta over admitted jobs
-    Fcfs,             ///< run to completion in arrival order
-    Las,              ///< least-attained-service first (the dynamic-
-                      ///< quantum policy class TQ's probes support,
-                      ///< paper section 3.1)
-};
+/** Per-core quantum scheduling policy (the runtime's WorkPolicy). */
+using CorePolicy = sched::Policy;
 
 /** Configuration of one two-level simulation run. */
 struct TwoLevelConfig
@@ -73,30 +69,30 @@ struct TwoLevelConfig
     /**
      * Per-class quantum override (TQ-TIMING variant): when non-empty,
      * class c is scheduled with class_quantum[c] instead of `quantum`,
-     * emulating inaccurate preemption timing — and, with the knobs
-     * below, mirroring the runtime's per-class scheduler
-     * (runtime/quantum.h, DESIGN.md §4i).
+     * emulating inaccurate preemption timing. Like the runtime's
+     * quantum table (runtime/quantum.h, DESIGN.md §4i) it also arms
+     * the two knobs below; without it they are ignored.
      */
     std::vector<SimNanos> class_quantum;
 
     /**
-     * Deficit accounting mirror of the runtime worker (DESIGN.md §4i):
-     * when > 0 (and class_quantum is set, and cores are not FCFS) each
-     * core keeps a per-class deficit — granted minus used per slice,
-     * clamped to ±deficit_clamp ns — and grants class c an effective
-     * budget of max(base/4, base + deficit[c]). In the simulator slices
-     * never overrun (there is no probe latency), so the deficit only
-     * banks early-completion credit; it still exercises the same
-     * clamp/floor arithmetic the runtime uses. 0 (the default) keeps
-     * the TQ-TIMING model byte-identical to the historical simulator.
+     * Per-class deficit clamp, the runtime's deficit_clamp_us in ns
+     * (DESIGN.md §4i): when > 0 (and class_quantum is set, and cores
+     * are not FCFS) each core keeps a per-class deficit — granted minus
+     * used per slice, clamped to ±deficit_clamp — and grants class c an
+     * effective budget of max(base/4 + 1, base + deficit[c]). In the
+     * simulator slices never overrun (there is no probe latency), so
+     * the deficit only banks early-completion credit and the floor
+     * never binds. 0 (the default) keeps the plain TQ-TIMING model.
      */
     SimNanos deficit_clamp = 0;
 
     /**
-     * Starvation guard mirror (runtime knob of the same name): after a
+     * Starvation guard (the runtime knob of the same name): after a
      * runnable class has been passed over for this many consecutive
-     * grants on a core, its least-attained unit is force-promoted ahead
-     * of the normal PS/LAS pick. 0 (default) disables the guard.
+     * grants on a core, its best unit (LAS minimum, or first in the PS
+     * ring) is force-promoted ahead of the normal pick. 0 (default)
+     * disables the guard.
      */
     uint64_t starvation_promote_after = 0;
 

@@ -22,9 +22,11 @@ spin_cycles(Cycles cycles)
 {
     // Consumed-cycle accounting: count everything the loop does (work,
     // clock reads, probes — all genuine service time), but exclude the
-    // time spent preempted. A yield is detected through the probe
-    // runtime's yield counter; the iteration it happens in is skipped
-    // from the accounting (conservative by one ~40ns chunk).
+    // time spent preempted. The clock is read before the probe, so the
+    // work of every iteration counts even when its probe yields — a
+    // budget shorter than one iteration still makes progress. A yield
+    // is detected through the probe runtime's yield counter and
+    // restarts the interval from a fresh read after the resume.
     ProbeState &ps = probe_state();
     Cycles consumed = 0;
     volatile uint64_t sink = 0;
@@ -32,12 +34,13 @@ spin_cycles(Cycles cycles)
     Cycles last = rdcycles();
     while (consumed < cycles) {
         x = work_chunk(x);
+        const Cycles now = rdcycles();
+        consumed += now - last;
+        last = now;
         const uint64_t yields_before = ps.yields;
         tq_probe(); // may yield; time away must not count
-        const Cycles now = rdcycles();
-        if (ps.yields == yields_before)
-            consumed += now - last;
-        last = now;
+        if (ps.yields != yields_before)
+            last = rdcycles();
     }
     sink = x;
     (void)sink;

@@ -1,16 +1,20 @@
 /**
  * @file
  * Unit tests for tq_common: RNG, distributions, percentiles, histograms,
- * unit conversions, and the cycle clock.
+ * unit conversions, the cycle clock, and the per-core scheduler
+ * (sched::CoreQueue) at both of its tick types.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/arrival.h"
+#include "common/core_queue.h"
 #include "common/cycles.h"
 #include "common/dist.h"
 #include "common/histogram.h"
@@ -550,6 +554,200 @@ TEST(Cycles, MonotonicAndCalibrated)
     EXPECT_GT(elapsed_ns, 4e6);
     EXPECT_LT(elapsed_ns, 1e9);
     EXPECT_NEAR(cycles_to_ns(ns_to_cycles(1000.0)), 1000.0, 2.0);
+}
+
+// ----------------------------------------------------------- CoreQueue --
+//
+// The runtime worker runs sched::CoreQueue with integer cycle ticks, the
+// simulator with double nanosecond ticks. Fed integral ticks (bases
+// divisible by 4, so the base/4 floor is integral too), both
+// instantiations must make exactly the same decisions.
+
+template <class Tick>
+class CoreQueueTyped : public ::testing::Test
+{
+};
+
+using TickTypes = ::testing::Types<uint64_t, double>;
+TYPED_TEST_SUITE(CoreQueueTyped, TickTypes);
+
+/** Grant item ids in order, settling each as preempted or finished. */
+template <class Queue>
+std::vector<int>
+pick_sequence(Queue &q, int n, bool finish)
+{
+    std::vector<int> items;
+    for (int i = 0; i < n; ++i) {
+        const auto g = q.pick();
+        items.push_back(g.item);
+        q.settle(g.item, g.budget, finish);
+    }
+    return items;
+}
+
+TYPED_TEST(CoreQueueTyped, PsRotatesInAdmissionOrder)
+{
+    sched::CoreQueue<int, TypeParam> q(sched::Policy::ProcessorSharing, 0,
+                                       0);
+    for (int i = 1; i <= 3; ++i)
+        q.admit(i, 0, 100);
+    EXPECT_EQ(pick_sequence(q, 6, false),
+              (std::vector<int>{1, 2, 3, 1, 2, 3}));
+    q.admit(4, 1, 100); // joins the tail of the ring
+    EXPECT_EQ(pick_sequence(q, 4, false), (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(pick_sequence(q, 4, true), (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.account(0).runnable, 0u);
+    EXPECT_EQ(q.account(0).grants, 12u);
+    EXPECT_EQ(q.account(1).grants, 2u);
+}
+
+TYPED_TEST(CoreQueueTyped, LasIsFifoAmongEqualQuanta)
+{
+    sched::CoreQueue<int, TypeParam> q(sched::Policy::Las, 0, 0);
+    for (int i = 1; i <= 4; ++i)
+        q.admit(i, 0, 100);
+    // Each item runs one quantum, then the next-least-attained goes.
+    EXPECT_EQ(pick_sequence(q, 4, false), (std::vector<int>{1, 2, 3, 4}));
+    q.admit(5, 0, 100); // fresh: least attained, runs first
+    EXPECT_EQ(pick_sequence(q, 1, false), (std::vector<int>{5}));
+    // Now all five hold one quantum: FIFO by requeue order.
+    EXPECT_EQ(pick_sequence(q, 5, false),
+              (std::vector<int>{1, 2, 3, 4, 5}));
+    const auto g = q.pick();
+    EXPECT_EQ(g.item, 1);
+    EXPECT_EQ(g.quanta, 2u);
+}
+
+TYPED_TEST(CoreQueueTyped, PromotesAfterExactlyPromoteAfterSkips)
+{
+    for (const auto policy :
+         {sched::Policy::Las, sched::Policy::ProcessorSharing}) {
+        constexpr uint64_t kAfter = 3;
+        sched::CoreQueue<int, TypeParam> q(policy, 0, kAfter);
+        // Under LAS the long item, once served, ranks behind every
+        // fresh short; under PS the shorts admitted ahead of it win
+        // the ring.
+        q.admit(99, 1, 100);
+        if (policy == sched::Policy::Las) {
+            const auto g = q.pick();
+            ASSERT_EQ(g.item, 99);
+            q.settle(g.item, 100, false);
+        }
+        for (int i = 1; i <= 8; ++i)
+            q.admit(i, 0, 100);
+        if (policy == sched::Policy::ProcessorSharing) {
+            const auto g = q.pick(); // the long item leads the ring
+            ASSERT_EQ(g.item, 99);
+            q.settle(g.item, 100, false);
+        }
+        for (uint64_t k = 1; k <= kAfter; ++k) {
+            const auto g = q.pick();
+            EXPECT_NE(g.item, 99) << "grant " << k;
+            EXPECT_FALSE(g.promoted);
+            EXPECT_EQ(q.account(1).skipped, k);
+            q.settle(g.item, 100, true);
+        }
+        const auto g = q.pick();
+        EXPECT_EQ(g.item, 99);
+        EXPECT_TRUE(g.promoted);
+        EXPECT_EQ(q.promotions(), 1u);
+        EXPECT_EQ(q.account(1).skipped, 0u);
+        EXPECT_EQ(q.account(0).skipped, 1u);
+    }
+}
+
+TYPED_TEST(CoreQueueTyped, FcfsIgnoresClampAndGuard)
+{
+    sched::CoreQueue<int, TypeParam> q(sched::Policy::Fcfs, 40, 1);
+    q.admit(1, 0, 100);
+    q.admit(2, 1, 100);
+    q.admit(3, 1, 100);
+    auto g = q.pick();
+    q.settle(g.item, 10, true); // early: would bank credit under PS
+    g = q.pick();
+    EXPECT_EQ(g.item, 2);
+    EXPECT_EQ(g.budget, TypeParam(100)) << "no deficit under FCFS";
+    q.settle(g.item, 100, true);
+    g = q.pick();
+    EXPECT_EQ(g.item, 3);
+    EXPECT_FALSE(g.promoted);
+    EXPECT_EQ(q.account(0).deficit, 0);
+}
+
+/** One grant of the scripted trace: (item, budget, promoted). */
+using GrantRow = std::tuple<int, int64_t, bool>;
+
+/**
+ * A scripted trace over three classes (bases 100, 40 and 8, clamp 60,
+ * guard 5): admissions, slices that overrun their budget (the probe
+ * fired late, so the class goes into debt and the base/4 + 1 floor
+ * engages), early completions that bank credit, and a flood of class-0
+ * admissions that starves the others until the guard promotes them.
+ */
+template <class Tick>
+std::vector<GrantRow>
+run_script(sched::Policy policy)
+{
+    constexpr int64_t kClamp = 60;
+    const int64_t bases[3] = {100, 40, 8};
+    sched::CoreQueue<int, Tick> q(policy, static_cast<Tick>(kClamp), 5);
+    std::vector<int64_t> remaining;
+    std::vector<GrantRow> rows;
+    uint64_t lcg = 12345;
+    auto next = [&](uint64_t n) {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        return static_cast<int64_t>((lcg >> 33) % n);
+    };
+    auto admit = [&](int cls) {
+        const int item = static_cast<int>(remaining.size());
+        remaining.push_back(1 + next(400));
+        q.admit(item, cls, static_cast<Tick>(bases[cls]));
+    };
+    for (int step = 0; step < 3000; ++step) {
+        const bool flood = step >= 1000 && step < 1600;
+        if (flood || next(3) == 0)
+            admit(flood ? 0 : static_cast<int>(next(3)));
+        if (q.empty())
+            continue;
+        const auto g = q.pick();
+        const int64_t budget = static_cast<int64_t>(g.budget);
+        rows.emplace_back(g.item, budget, g.promoted);
+        int64_t &left = remaining[static_cast<size_t>(g.item)];
+        int64_t used = std::min(budget, left);
+        if (left > budget && next(4) == 0)
+            used = budget + 1 + next(80); // overrun: late probe
+        left -= std::min(used, left);
+        q.settle(g.item, static_cast<Tick>(used), left == 0);
+        for (int c = 0; c < 3; ++c) {
+            const auto deficit = q.account(c).deficit;
+            EXPECT_LE(deficit, kClamp) << "step " << step;
+            EXPECT_GE(deficit, -kClamp) << "step " << step;
+        }
+    }
+    EXPECT_GT(q.promotions(), 0u) << "the flood must trip the guard";
+    return rows;
+}
+
+TEST(CoreQueue, CyclesAndNanosecondTicksGrantIdentically)
+{
+    for (const auto policy :
+         {sched::Policy::ProcessorSharing, sched::Policy::Las}) {
+        const auto cycles = run_script<uint64_t>(policy);
+        const auto nanos = run_script<double>(policy);
+        ASSERT_GT(cycles.size(), 2000u);
+        EXPECT_EQ(cycles, nanos);
+        // The trace exercised debt down to the floor and credit above
+        // the base.
+        const auto floor_hits = std::count_if(
+            cycles.begin(), cycles.end(),
+            [](const GrantRow &r) { return std::get<1>(r) == 40 / 4 + 1; });
+        const auto credit = std::count_if(
+            cycles.begin(), cycles.end(),
+            [](const GrantRow &r) { return std::get<1>(r) > 100; });
+        EXPECT_GT(floor_hits, 0);
+        EXPECT_GT(credit, 0);
+    }
 }
 
 } // namespace

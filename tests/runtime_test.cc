@@ -187,7 +187,7 @@ TEST(Runtime, LasIsFifoAmongEqualQuanta)
     // Regression for the LAS heap rewrite: the old implementation
     // scanned its ready deque for the minimum-quanta task, which made
     // equal-quanta tasks run in admission order. The heap keys on
-    // (quanta, admit_seq) and must preserve that order exactly. A long
+    // (attained, push order) and must preserve that order exactly. A long
     // blocker admitted first accumulates quanta; the shorts all stay at
     // zero and finish within one quantum, so their completion order is
     // their admission (= submission) order.
@@ -931,7 +931,7 @@ TEST(PerClassQuanta, BudgetsResolvedAtAdmissionFollowTheTable)
 {
     // {4us, 1us} per-class quanta on one worker: both classes complete,
     // and the post-join scheduling accounts show class 0's mean armed
-    // budget above class 1's (granted_cycles counts armed budgets, so
+    // budget above class 1's (`granted` counts armed budgets, so
     // the ordering survives deficit adjustment: class 0 jobs finish
     // inside their budget and bank credit, class 1 jobs run into debt).
     RuntimeConfig cfg;
@@ -956,9 +956,9 @@ TEST(PerClassQuanta, BudgetsResolvedAtAdmissionFollowTheTable)
     const auto &c1 = w.class_sched(1);
     ASSERT_GT(c0.grants, 0u);
     ASSERT_GT(c1.grants, 0u);
-    const double eff0 = static_cast<double>(c0.granted_cycles) /
+    const double eff0 = static_cast<double>(c0.granted) /
                         static_cast<double>(c0.grants);
-    const double eff1 = static_cast<double>(c1.granted_cycles) /
+    const double eff1 = static_cast<double>(c1.granted) /
                         static_cast<double>(c1.grants);
     EXPECT_GT(eff0, eff1) << "eff0=" << eff0 << " eff1=" << eff1;
     EXPECT_EQ(c0.runnable, 0u) << "all admitted jobs completed";

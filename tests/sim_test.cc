@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/dist.h"
 #include "sim/caladan.h"
@@ -471,6 +472,62 @@ TEST(TwoLevel, SingleDispatcherResultsArePinnedBitForBit)
         EXPECT_FALSE(r.saturated);
         EXPECT_EQ(r.overall_mean_slowdown, 0x1.ff1ac3f194a02p-1);
         EXPECT_EQ(r.overall_p999_slowdown, 0x1.5772924db89f3p+5);
+    }
+}
+
+TEST(TwoLevel, PerClassPathsArePinnedBitForBit)
+{
+    // Hexfloat goldens of the per-class scheduler paths, captured on
+    // the simulator that still kept its own copy of the per-core
+    // policy. Moving that policy into sched::CoreQueue must leave all
+    // three bit-identical: perfbench's TPC-C point (deficit clamp and
+    // starvation guard armed), the same mix under LAS at a load where
+    // the guard fires, and a TQ-TIMING point (class quanta with a 0
+    // clamp and a 0 guard, as in fig11_12).
+    const auto tpcc = workload_table::tpcc();
+    TwoLevelConfig tp;
+    tp.num_cores = 16;
+    tp.duration = ms(100);
+    tp.seed = 7;
+    tp.class_quantum = {us(6), us(6), us(5), us(1), us(1)};
+    tp.deficit_clamp = us(8);
+    tp.starvation_promote_after = 128;
+    const std::vector<double> tpcc_quanta = {
+        0x1.644p+12, 0x1.77p+12, 0x1.388p+12, 0x1.f4p+9, 0x1.f4p+9};
+    {
+        const SimResult r = run_two_level(tp, *tpcc, mrps(0.60));
+        EXPECT_EQ(r.completed, 60206u);
+        EXPECT_FALSE(r.saturated);
+        EXPECT_EQ(r.by_class("Payment").p999_slowdown,
+                  0x1.c9d934cea712ep+0);
+        EXPECT_EQ(r.class_effective_quantum, tpcc_quanta);
+        EXPECT_EQ(r.starvation_promotions, 0u);
+    }
+    {
+        tp.core_policy = CorePolicy::Las;
+        const SimResult r = run_two_level(tp, *tpcc, mrps(0.75));
+        EXPECT_EQ(r.completed, 75232u);
+        EXPECT_FALSE(r.saturated);
+        EXPECT_EQ(r.by_class("Payment").p999_slowdown,
+                  0x1.3ac0ce8eeb572p+1);
+        EXPECT_EQ(r.class_effective_quantum, tpcc_quanta);
+        EXPECT_EQ(r.starvation_promotions, 86u);
+    }
+    {
+        const auto rocksdb = workload_table::rocksdb(0.005);
+        TwoLevelConfig cfg;
+        cfg.overheads = Overheads::tq_default();
+        cfg.duration = ms(50);
+        cfg.seed = 7;
+        cfg.class_quantum = {us(1), us(3)}; // GET, SCAN
+        const SimResult r = run_two_level(cfg, *rocksdb, mrps(2.0));
+        EXPECT_EQ(r.completed, 100238u);
+        EXPECT_FALSE(r.saturated);
+        EXPECT_EQ(r.by_class("GET").p999_slowdown, 0x1.7fb489cab7777p+2);
+        EXPECT_EQ(r.by_class("SCAN").p999_slowdown, 0x1.33bbe73ad56f6p+0);
+        EXPECT_EQ(r.class_effective_quantum,
+                  (std::vector<double>{0x1.2cp+9, 0x1.77p+11}));
+        EXPECT_EQ(r.starvation_promotions, 0u);
     }
 }
 

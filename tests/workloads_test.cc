@@ -291,6 +291,35 @@ TEST(Spin, PreemptableAndAccountsOnlyConsumedTime)
     EXPECT_GE(running_ns, 90'000.0);
 }
 
+TEST(Spin, ProgressesWhenEveryProbeYields)
+{
+    // A budget below one loop iteration makes every probe yield. The
+    // work done before each yield is still service time, so the spin
+    // must finish after about (duration / iteration) yields. Before the
+    // accounting read the clock ahead of the probe, it dropped every
+    // yielding iteration and spun until the hook gave up at the cap.
+    reset_probe_state();
+    static constexpr uint64_t kCap = 1'000'000;
+    static thread_local uint64_t hook_yields;
+    hook_yields = 0;
+    bind_yield(
+        [](void *) {
+            // Re-arm a 0-cycle quantum after every yield; give up (and
+            // let the spin run free) once the cap is reached.
+            if (++hook_yields < kCap)
+                arm_quantum(0);
+            else
+                disarm_quantum();
+        },
+        nullptr);
+    arm_quantum(0);
+    spin_for(us(50));
+    disarm_quantum();
+    EXPECT_GT(hook_yields, 0u);
+    EXPECT_LT(hook_yields, kCap / 10)
+        << "spin_for made no progress under 0-cycle quanta";
+}
+
 // ---------------------------------------------------------- ZipfKeyGen --
 
 TEST(ZipfKeyGen, ScrambleIsABijectionOnTheKeyspace)

@@ -26,6 +26,7 @@ import re
 import sys
 
 HOT_FILES = [
+    "src/common/core_queue.h",
     "src/runtime/worker.cc",
     "src/telemetry/metrics.h",
     "src/telemetry/trace_ring.h",
